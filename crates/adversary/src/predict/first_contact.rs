@@ -29,7 +29,7 @@ pub fn first_contact_posterior(ctx: &EstimatorCtx<'_>) -> Vec<f64> {
     let mut best: Option<Round> = None;
     for c in ctx.candidates {
         if let Some(r) = first[c.as_usize()] {
-            if best.map_or(true, |b| r < b) {
+            if best.is_none_or(|b| r < b) {
                 best = Some(r);
             }
         }

@@ -143,7 +143,7 @@ impl SightingLog {
                 continue;
             }
             let slot = &mut first[s.sender.as_usize()];
-            if slot.map_or(true, |r| s.round < r) {
+            if slot.is_none_or(|r| s.round < r) {
                 *slot = Some(s.round);
             }
         }

@@ -2,8 +2,8 @@
 //! run that regenerates the corresponding EXPERIMENTS.md table, so
 //! regressions in protocol cost show up as bench regressions without
 //! re-running the full sweeps. The tables themselves are printed by the
-//! `congos-harness` binaries (`cargo run --release -p congos-harness --bin
-//! exp_eN`).
+//! `congos-harness` `exp` binary (`cargo run --release -p congos-harness
+//! --bin exp -- eN`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -15,7 +15,7 @@ const ROUNDS: u64 = 96;
 
 fn drive<P>(n: usize) -> u64
 where
-    P: Protocol + 'static,
+    P: Protocol,
     P::Input: From<congos_adversary::RumorSpec>,
 {
     let workload =

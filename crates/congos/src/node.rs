@@ -218,11 +218,9 @@ impl CongosNode {
         n: usize,
         dline: u64,
     ) -> &'a mut ClassEngine {
-        classes.entry(dline).or_insert_with(|| {
-            let mut c = ClassEngine::new(me, n, dline, partitions);
-            c.configure_gossip(cfg);
-            c
-        })
+        classes
+            .entry(dline)
+            .or_insert_with(|| ClassEngine::new(me, n, dline, partitions, cfg))
     }
 
     /// `true` if an incoming message's deadline class is one this

@@ -71,8 +71,23 @@ pub(crate) struct ClassEngine {
 }
 
 impl ClassEngine {
-    pub(crate) fn new(me: ProcessId, n: usize, dline: u64, partitions: &PartitionSet) -> Self {
+    /// Builds the class engine with its gossip endpoints already carrying
+    /// the configured fanout and strategy.
+    pub(crate) fn new(
+        me: ProcessId,
+        n: usize,
+        dline: u64,
+        partitions: &PartitionSet,
+        cfg: &CongosConfig,
+    ) -> Self {
         let clock = BlockClock::new(dline);
+        let gossip = |gcfg: GossipConfig| {
+            ContinuousGossip::new(
+                me,
+                n,
+                gcfg.fanout(cfg.gossip_fanout).strategy(cfg.gossip_strategy),
+            )
+        };
         let lanes = partitions
             .iter()
             .map(|(ell, p)| {
@@ -81,11 +96,7 @@ impl ClassEngine {
                 Lane {
                     ell: ell as u16,
                     my_group,
-                    gossip: ContinuousGossip::new(
-                        me,
-                        n,
-                        GossipConfig::group(membership, TAG_GROUP_GOSSIP),
-                    ),
+                    gossip: gossip(GossipConfig::group(membership, TAG_GROUP_GOSSIP)),
                     proxy: ProxyService::new(n, my_group),
                     gd: GdService::new(n, my_group),
                 }
@@ -98,7 +109,7 @@ impl ClassEngine {
             clock,
             sqrt_d: dline.isqrt(),
             lanes,
-            all_gossip: ContinuousGossip::new(me, n, GossipConfig::all(n, TAG_ALL_GOSSIP)),
+            all_gossip: gossip(GossipConfig::all(n, TAG_ALL_GOSSIP)),
             cache: BTreeMap::new(),
             hit_matrix: HitHistory::new(dline),
             stats: ClassStats::default(),
@@ -107,29 +118,6 @@ impl ClassEngine {
 
     pub(crate) fn stats(&self) -> ClassStats {
         self.stats
-    }
-
-    /// Applies gossip fanout configuration to the engine's endpoints.
-    pub(crate) fn configure_gossip(&mut self, cfg: &CongosConfig) {
-        // Endpoints are created with defaults; rebuild with configured
-        // fanout. (Called once right after `new`.)
-        for lane in &mut self.lanes {
-            let membership = lane.gossip.membership().clone();
-            lane.gossip = ContinuousGossip::new(
-                self.me,
-                self.n,
-                GossipConfig::group(membership, TAG_GROUP_GOSSIP)
-                    .fanout(cfg.gossip_fanout)
-                    .strategy(cfg.gossip_strategy),
-            );
-        }
-        self.all_gossip = ContinuousGossip::new(
-            self.me,
-            self.n,
-            GossipConfig::all(self.n, TAG_ALL_GOSSIP)
-                .fanout(cfg.gossip_fanout)
-                .strategy(cfg.gossip_strategy),
-        );
     }
 
     /// Injects a rumor into this class's pipeline (Figure 8's
@@ -547,8 +535,7 @@ mod tests {
     fn setup(me: usize, n: usize) -> (ClassEngine, PartitionSet, CongosConfig, SmallRng) {
         let partitions = PartitionSet::bits(n);
         let cfg = CongosConfig::base();
-        let mut engine = ClassEngine::new(ProcessId::new(me), n, DLINE, &partitions);
-        engine.configure_gossip(&cfg);
+        let engine = ClassEngine::new(ProcessId::new(me), n, DLINE, &partitions, &cfg);
         (engine, partitions, cfg, SmallRng::seed_from_u64(7))
     }
 

@@ -139,10 +139,8 @@ fn run_cell<P>(
     base_seed: u64,
 ) -> (AttackScore, AttackScore, usize)
 where
-    P: GossipSystem + Send,
-    P::Msg: Send + Sync,
-    P::Input: From<RumorSpec> + Send,
-    P::Output: Send,
+    P: GossipSystem,
+    P::Input: From<RumorSpec>,
 {
     let rounds = INJECT_AT + DEADLINE + TAIL;
     let mut fc = AttackScore::new(TOP_K);

@@ -55,10 +55,8 @@ fn sweep(full: bool) -> Vec<TopologySpec> {
 
 fn run_one<P>(spec: RunSpec, rounds: u64, deadline: u64) -> Vec<String>
 where
-    P: GossipSystem + Send,
-    P::Msg: Send + Sync,
-    P::Input: From<congos_adversary::RumorSpec> + Send,
-    P::Output: Send,
+    P: GossipSystem,
+    P::Input: From<congos_adversary::RumorSpec>,
 {
     // Failure-free: E14 isolates the topology axis — the only exemptions in
     // these rows are topological (`unreach`), never crash-inadmissibility.

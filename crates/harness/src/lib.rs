@@ -22,20 +22,21 @@
 //! | E13 | Source anonymity — who started this rumor, and can CONGOS hide it? |
 //! | E14 | Beyond the complete graph — QoD/complexity vs topology |
 //!
-//! Run any experiment with `cargo run --release -p congos-harness --bin
-//! exp_e1` (etc.), or all of them with `exp_all`. Pass `--full` for the
-//! larger sweeps, and `--backend <seq|par[:N]>` (or set `CONGOS_BACKEND`)
-//! to pick the execution backend — results are bit-identical on every
-//! backend; only wall-clock time changes. Pass `--topology
-//! <complete|expander:d|churn:p>` (or set `CONGOS_TOPOLOGY`) to run an
-//! experiment on a sparser or churning network — unlike the backend, the
-//! topology *does* change measured outcomes.
+//! Run any experiment with `cargo run --release -p congos-harness --bin exp
+//! -- e1` (etc.), or all of them with `exp all` (see [`cli`]). Pass
+//! `--full` for the larger sweeps, and `--backend <seq|par[:N]>` (or set
+//! `CONGOS_BACKEND`) to pick the execution backend — results are
+//! bit-identical on every backend; only wall-clock time changes. Pass
+//! `--topology <complete|expander:d|churn:p>` (or set `CONGOS_TOPOLOGY`) to
+//! run an experiment on a sparser or churning network — unlike the backend,
+//! the topology *does* change measured outcomes.
 
 // `deny`, not `forbid`: `mem` carries the one sanctioned exception — the
 // counting global allocator — under a scoped `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod experiments;
 pub mod json;
 pub mod mem;
@@ -49,10 +50,9 @@ pub use json::Json;
 pub use mem::{MemSample, MemUsage};
 pub use netrun::{assert_failure_free, materialize_injections, NetRunReport, NetStats};
 pub use run::{
-    default_backend, default_net, default_topology, init_backend_from_args,
-    init_topology_from_args, run, run_with_factory, set_default_backend, set_default_net,
-    set_default_topology, DeliveryRecord, Logged, QodSummary, RunOutcome, RunSpec, TapSpec,
-    DEFAULT_NET_PORT,
+    default_backend, default_net, default_topology, run, run_with_factory, set_default_backend,
+    set_default_net, set_default_topology, DeliveryRecord, Logged, QodSummary, RunOutcome,
+    RunSpec, TapSpec, DEFAULT_NET_PORT,
 };
 pub use stats::{fit_power_law, percentile};
 pub use system::GossipSystem;

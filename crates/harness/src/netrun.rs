@@ -11,9 +11,9 @@
 //! that decide from `(round, rng)` alone, like the stock `OneShot` /
 //! `PoissonWorkload` / `Theorem1Workload` generators. A plan that adapts to
 //! `view.outbox` or to crashes would see a different trajectory; the
-//! networked backend is failure-free by construction (see
-//! `congos_sim::threaded` for why adaptive adversaries are definitionally
-//! lock-step constructs), and [`assert_failure_free`] rejects failure plans
+//! networked backend is failure-free by construction (see the
+//! `congos_sim::engine` module docs for why adaptive adversaries are
+//! definitionally lock-step constructs), and [`assert_failure_free`] rejects failure plans
 //! that try to schedule anything.
 
 use congos_adversary::{FailurePlan, InjectionPlan, RumorSpec};

@@ -141,6 +141,18 @@ impl RunSpec {
     }
 }
 
+/// Parses the env var `var`; a malformed value is reported and ignored.
+fn from_env<T: std::str::FromStr>(var: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = std::env::var(var).ok()?;
+    value
+        .parse()
+        .map_err(|e| eprintln!("ignoring {var}: {e}"))
+        .ok()
+}
+
 static DEFAULT_BACKEND: std::sync::OnceLock<EngineBackend> = std::sync::OnceLock::new();
 
 /// Installs the process-wide default backend used by [`RunSpec::new`].
@@ -155,52 +167,7 @@ pub fn set_default_backend(backend: EngineBackend) -> bool {
 /// [`EngineBackend::Sequential`]. Every experiment outcome is identical on
 /// every backend — this only selects wall-clock behavior.
 pub fn default_backend() -> EngineBackend {
-    *DEFAULT_BACKEND.get_or_init(|| {
-        std::env::var("CONGOS_BACKEND")
-            .ok()
-            .and_then(|s| match s.parse() {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("ignoring CONGOS_BACKEND: {e}");
-                    None
-                }
-            })
-            .unwrap_or_default()
-    })
-}
-
-/// Applies a `--backend <seq|par[:N]|net[:PORT]>` CLI flag (if present) as
-/// the process-wide default backend and returns the active default.
-/// Intended for the `exp_*` binaries.
-///
-/// `net` (optionally `net:<base_port>`, default port
-/// [`DEFAULT_NET_PORT`]) selects the networked backend: runs execute on a
-/// localhost TCP cluster instead of the in-process engine. The returned
-/// [`EngineBackend`] is unchanged in that case — the net default is
-/// consumed by [`RunSpec::new`] via [`default_net`].
-///
-/// # Panics
-///
-/// Panics on a malformed or missing flag value.
-pub fn init_backend_from_args(args: &[String]) -> EngineBackend {
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        let value = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--backend needs a value: seq, par[:N] or net[:PORT]"));
-        if value == "net" || value.starts_with("net:") {
-            let port = match value.strip_prefix("net:") {
-                Some(p) => p
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad port in --backend {value}")),
-                None => DEFAULT_NET_PORT,
-            };
-            set_default_net(port);
-        } else {
-            let backend: EngineBackend = value.parse().unwrap_or_else(|e| panic!("{e}"));
-            set_default_backend(backend);
-        }
-    }
-    default_backend()
+    *DEFAULT_BACKEND.get_or_init(|| from_env("CONGOS_BACKEND").unwrap_or_default())
 }
 
 /// Base port used by `--backend net` when no explicit port is given.
@@ -219,17 +186,7 @@ pub fn set_default_net(base_port: u16) -> bool {
 /// installed, else the `CONGOS_NET_PORT` env var, else `None` (in-process
 /// engine — the default).
 pub fn default_net() -> Option<u16> {
-    *DEFAULT_NET.get_or_init(|| {
-        std::env::var("CONGOS_NET_PORT")
-            .ok()
-            .and_then(|s| match s.parse() {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("ignoring CONGOS_NET_PORT: {e}");
-                    None
-                }
-            })
-    })
+    *DEFAULT_NET.get_or_init(|| from_env("CONGOS_NET_PORT"))
 }
 
 static DEFAULT_TOPOLOGY: std::sync::OnceLock<TopologySpec> = std::sync::OnceLock::new();
@@ -247,36 +204,7 @@ pub fn set_default_topology(topology: TopologySpec) -> bool {
 /// [`TopologySpec::Complete`] — the paper's model. Unlike the backend, the
 /// topology *does* change measured outcomes.
 pub fn default_topology() -> TopologySpec {
-    *DEFAULT_TOPOLOGY.get_or_init(|| {
-        std::env::var("CONGOS_TOPOLOGY")
-            .ok()
-            .and_then(|s| match s.parse() {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("ignoring CONGOS_TOPOLOGY: {e}");
-                    None
-                }
-            })
-            .unwrap_or_default()
-    })
-}
-
-/// Applies a `--topology <complete|expander:d|churn:p[@base]>` CLI flag (if
-/// present) as the process-wide default topology and returns the active
-/// default. Intended for the `exp_*` binaries.
-///
-/// # Panics
-///
-/// Panics on a malformed or missing flag value.
-pub fn init_topology_from_args(args: &[String]) -> TopologySpec {
-    if let Some(i) = args.iter().position(|a| a == "--topology") {
-        let value = args.get(i + 1).unwrap_or_else(|| {
-            panic!("--topology needs a value: complete, expander:<d> or churn:<p>")
-        });
-        let topology: TopologySpec = value.parse().unwrap_or_else(|e| panic!("{e}"));
-        set_default_topology(topology);
-    }
-    default_topology()
+    *DEFAULT_TOPOLOGY.get_or_init(|| from_env("CONGOS_TOPOLOGY").unwrap_or_default())
 }
 
 /// A delivery, correlated by workload id.
@@ -384,10 +312,8 @@ impl RunOutcome {
 /// injection plans.
 pub fn run<P, F, W>(spec: RunSpec, failures: F, workload: W) -> RunOutcome
 where
-    P: GossipSystem + Send,
-    P::Msg: Send + Sync,
-    P::Input: From<RumorSpec> + Send,
-    P::Output: Send,
+    P: GossipSystem,
+    P::Input: From<RumorSpec>,
     F: FailurePlan,
     W: InjectionPlan + Logged,
 {
@@ -402,10 +328,8 @@ pub fn run_with_factory<P, F, W>(
     workload: W,
 ) -> RunOutcome
 where
-    P: GossipSystem + Send,
-    P::Msg: Send + Sync,
-    P::Input: From<RumorSpec> + Send,
-    P::Output: Send,
+    P: GossipSystem,
+    P::Input: From<RumorSpec>,
     F: FailurePlan,
     W: InjectionPlan + Logged,
 {

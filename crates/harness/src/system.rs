@@ -11,7 +11,7 @@ use crate::netrun::{NetRunReport, ScheduledInjection};
 
 /// A gossip protocol the harness can run generically: its input can be built
 /// from a [`RumorSpec`] and its outputs expose the workload rumor id.
-pub trait GossipSystem: Protocol + 'static
+pub trait GossipSystem: Protocol
 where
     Self::Input: From<RumorSpec>,
 {

@@ -125,6 +125,42 @@ impl Table {
             ("notes", Json::from(self.notes.clone())),
         ])
     }
+
+    /// Rebuilds a table from its [`to_json`](Table::to_json) form.
+    pub fn from_json(json: &crate::json::Json) -> Result<Table, String> {
+        use crate::json::Json;
+        let strings = |v: &Json, what: &str| -> Result<Vec<String>, String> {
+            v.as_array()
+                .ok_or_else(|| format!("table {what} is not an array"))?
+                .iter()
+                .map(|c| {
+                    c.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| format!("table {what} holds a non-string"))
+                })
+                .collect()
+        };
+        let mut table = Table {
+            title: json["title"]
+                .as_str()
+                .ok_or("table has no title")?
+                .to_string(),
+            headers: strings(&json["headers"], "headers")?,
+            rows: Vec::new(),
+            notes: strings(&json["notes"], "notes")?,
+        };
+        let rows = json["rows"]
+            .as_array()
+            .ok_or("table rows is not an array")?;
+        for row in rows {
+            let row = strings(row, "row")?;
+            if row.len() != table.headers.len() {
+                return Err(format!("table {:?}: row width mismatch", table.title));
+            }
+            table.rows.push(row);
+        }
+        Ok(table)
+    }
 }
 
 /// Formats a float with 2 decimals (table convenience).
@@ -132,7 +168,7 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Renders a set of tables as a markdown document (used by `exp_report`).
+/// Renders a set of tables as a markdown document (used by `exp report`).
 pub fn tables_to_markdown(tables: &[Table]) -> String {
     let mut out = String::new();
     for t in tables {
@@ -203,6 +239,22 @@ mod tests {
         assert_eq!(j["title"], "demo");
         assert_eq!(j["rows"][0][0], "1");
         assert_eq!(j["notes"][0], "n");
+    }
+
+    #[test]
+    fn json_roundtrip() {
+        let mut t = Table::new("demo", &["a", "b"]);
+        t.row(vec!["1".into(), "x y".into()]);
+        t.note("n");
+        let text = t.to_json().to_string_pretty();
+        let parsed = crate::json::Json::parse(&text).unwrap();
+        assert_eq!(Table::from_json(&parsed), Ok(t));
+        let mut bad = parsed.clone();
+        if let crate::json::Json::Object(m) = &mut bad {
+            m.insert("rows".into(), crate::json::Json::from(vec![vec!["1"]]));
+        }
+        assert!(Table::from_json(&bad).is_err());
+        assert!(Table::from_json(&crate::json::Json::Null).is_err());
     }
 
     #[test]

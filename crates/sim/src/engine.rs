@@ -36,6 +36,21 @@
 //! * the adversary, delivery and bookkeeping phases stay sequential, so an
 //!   adaptive adversary observes exactly the ordered outbox snapshot it
 //!   would have seen sequentially.
+//!
+//! There is one round body, [`Engine::step_backend`]; the backend only sets
+//! how many contiguous process-id chunks the send and compute phases are
+//! split into. A single chunk (`Sequential`, or `Parallel { workers: 1 }`)
+//! runs inline on the calling thread; several chunks each get a scoped
+//! thread for the phase.
+//!
+//! # Why the adversary needs lock-step rounds
+//!
+//! An *adaptive* adversary must see a round's outboxes — the random choices
+//! made in its send phase — before anything is delivered. Concurrent
+//! wall-clock execution cannot offer that snapshot, so the adversary is
+//! definitionally a lock-step construct: every backend runs it between two
+//! barriers, and runtimes without such a barrier (the TCP cluster) are
+//! failure-free.
 
 use rand::rngs::SmallRng;
 
@@ -52,13 +67,16 @@ use crate::transport::MemTransport;
 ///
 /// All processes run the same protocol type; per-process behavior derives
 /// from the [`ProcessId`] passed to [`new`](Protocol::new).
-pub trait Protocol: Sized {
+///
+/// The `Send`/`Sync` bounds let any backend hand process state to worker
+/// threads and share the round's outbox between them.
+pub trait Protocol: Sized + Send + 'static {
     /// Message payload type.
-    type Msg: Clone;
+    type Msg: Clone + Send + Sync;
     /// Input injected by the adversary (a rumor, for gossip protocols).
-    type Input;
+    type Input: Send;
     /// Output delivered to the local user (a reassembled rumor).
-    type Output;
+    type Output: Send;
 
     /// Default initial state — used both at round 0 and after every restart
     /// (processes have no durable storage). `seed` is a fresh deterministic
@@ -105,8 +123,8 @@ pub struct Context<'a, P: Protocol> {
 }
 
 impl<'a, P: Protocol> Context<'a, P> {
-    /// Constructs a context for an alternative runtime (a threaded or
-    /// networked backend driving [`Protocol`] implementations outside the
+    /// Constructs a context for an alternative runtime (a networked
+    /// backend driving [`Protocol`] implementations outside the
     /// lock-step engine). Runtimes are responsible for draining `pending`
     /// after the send phase and routing the messages themselves.
     pub fn for_runtime(
@@ -297,11 +315,16 @@ impl CrashSpec {
 }
 
 /// The adversary's decisions for one round.
+///
+/// The engine panics on a decision that breaks the CRRI contract: crashing
+/// a process that is not alive, restarting one that is, giving a process
+/// two liveness events, or injecting twice at one process in one round.
 #[derive(Clone, Debug)]
 pub struct RoundDecision<I> {
-    /// Processes to crash this round.
+    /// Processes to crash this round (each must be alive).
     pub crashes: Vec<CrashSpec>,
-    /// Processes to restart this round, with the fate of their inbox.
+    /// Processes to restart this round (each must be crashed), with the
+    /// fate of their inbox.
     pub restarts: Vec<(ProcessId, IncomingPolicy)>,
     /// Rumors to inject — at most one per process per round, only at alive
     /// processes (others are dropped and logged as undelivered).
@@ -455,23 +478,12 @@ pub enum EngineBackend {
     /// the send and compute phases; adversary and delivery stay sequential.
     Parallel {
         /// Number of worker threads (>= 1). `Parallel { workers: 1 }` is
-        /// the sequential schedule executed on one spawned worker.
+        /// the sequential schedule, run inline.
         workers: usize,
     },
-    /// Adaptive selection: `Parallel` with the machine's parallelism when
-    /// the per-round work (one send + one compute slot per process) clears
-    /// [`EngineBackend::AUTO_WORK_THRESHOLD`] and the host has more than one
-    /// core; `Sequential` otherwise. Below that threshold the per-round
-    /// thread-spawn barrier costs more than it saves
-    /// (`BENCH_backend_scaling.json`: `par:8` is ~1.3× *slower* than `seq`
-    /// at n = 1024 on a single-core host).
-    Auto,
 }
 
 impl EngineBackend {
-    /// Minimum per-round work (process slots) for `Auto` to go parallel.
-    pub const AUTO_WORK_THRESHOLD: usize = 2048;
-
     /// A parallel backend sized to the machine
     /// (`std::thread::available_parallelism`, min 1).
     pub fn parallel_auto() -> Self {
@@ -482,33 +494,11 @@ impl EngineBackend {
         }
     }
 
-    /// Resolves `Auto` against the per-round work of an `n`-process system;
-    /// `Sequential` and `Parallel` resolve to themselves. The result is
-    /// never `Auto`.
-    pub fn resolve(self, n: usize) -> EngineBackend {
-        match self {
-            EngineBackend::Auto => {
-                let cores = std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1);
-                if cores > 1 && n >= Self::AUTO_WORK_THRESHOLD {
-                    EngineBackend::Parallel { workers: cores }
-                } else {
-                    EngineBackend::Sequential
-                }
-            }
-            b => b,
-        }
-    }
-
-    /// Worker count: 1 for `Sequential`, `workers` for `Parallel`; for
-    /// `Auto`, the count of the backend it would resolve to on an
-    /// arbitrarily large system.
+    /// Worker count: 1 for `Sequential`, `workers` for `Parallel`.
     pub fn workers(&self) -> usize {
         match self {
             EngineBackend::Sequential => 1,
             EngineBackend::Parallel { workers } => *workers,
-            EngineBackend::Auto => EngineBackend::Auto.resolve(usize::MAX).workers(),
         }
     }
 }
@@ -518,7 +508,6 @@ impl std::fmt::Display for EngineBackend {
         match self {
             EngineBackend::Sequential => write!(f, "seq"),
             EngineBackend::Parallel { workers } => write!(f, "par:{workers}"),
-            EngineBackend::Auto => write!(f, "auto"),
         }
     }
 }
@@ -526,9 +515,8 @@ impl std::fmt::Display for EngineBackend {
 impl std::str::FromStr for EngineBackend {
     type Err = String;
 
-    /// Parses `seq` / `sequential`, `auto`, or `par` / `parallel` with an
-    /// optional `:<workers>` suffix (defaulting to the machine's
-    /// parallelism).
+    /// Parses `seq` / `sequential`, or `par` / `parallel` with an optional
+    /// `:<workers>` suffix (defaulting to the machine's parallelism).
     fn from_str(s: &str) -> Result<Self, String> {
         let (kind, workers) = match s.split_once(':') {
             Some((k, w)) => (k, Some(w)),
@@ -538,10 +526,6 @@ impl std::str::FromStr for EngineBackend {
             "seq" | "sequential" => match workers {
                 None => Ok(EngineBackend::Sequential),
                 Some(_) => Err(format!("sequential backend takes no worker count: {s:?}")),
-            },
-            "auto" => match workers {
-                None => Ok(EngineBackend::Auto),
-                Some(_) => Err(format!("auto backend takes no worker count: {s:?}")),
             },
             "par" | "parallel" => {
                 let workers = match workers {
@@ -554,9 +538,7 @@ impl std::str::FromStr for EngineBackend {
                 };
                 Ok(EngineBackend::Parallel { workers })
             }
-            _ => Err(format!(
-                "unknown backend {s:?} (expected seq, auto, or par[:N])"
-            )),
+            _ => Err(format!("unknown backend {s:?} (expected seq or par[:N])")),
         }
     }
 }
@@ -593,9 +575,7 @@ impl<P: Protocol> Default for SlotBuf<P> {
     }
 }
 
-/// Send phase for one process, writing into its arena buffers. Shared by
-/// both backends, so their per-process behavior is identical by
-/// construction.
+/// Send phase for one process, writing into its arena buffers.
 fn run_send_slot<P: Protocol>(
     i: usize,
     n: usize,
@@ -624,7 +604,7 @@ fn run_send_slot<P: Protocol>(
     }
 }
 
-/// Compute phase for one process. Shared by both backends.
+/// Compute phase for one process.
 fn run_compute_slot<P: Protocol>(
     i: usize,
     n: usize,
@@ -649,8 +629,29 @@ fn run_compute_slot<P: Protocol>(
     slot.proto.receive(&mut ctx, inbox, input);
 }
 
+/// Calls `f(base, chunk)` for every chunk, where `base` is the first
+/// process id of the chunk (chunks are `size` processes wide). A single
+/// chunk runs inline on the calling thread; several each get their own
+/// scoped thread, joined before this returns.
+fn for_each_chunk<C, F>(size: usize, chunks: impl ExactSizeIterator<Item = C>, f: F)
+where
+    C: Send,
+    F: Fn(usize, C) + Sync,
+{
+    if chunks.len() <= 1 {
+        chunks.for_each(|c| f(0, c));
+        return;
+    }
+    std::thread::scope(|s| {
+        for (ci, c) in chunks.enumerate() {
+            let f = &f;
+            s.spawn(move || f(ci * size, c));
+        }
+    });
+}
+
 /// The lock-step execution engine.
-pub struct Engine<P: Protocol + 'static> {
+pub struct Engine<P: Protocol> {
     cfg: EngineConfig,
     round: Round,
     slots: Vec<Slot<P>>,
@@ -673,7 +674,7 @@ pub struct Engine<P: Protocol + 'static> {
     inputs: Vec<Option<P::Input>>,
 }
 
-impl<P: Protocol + 'static> Engine<P> {
+impl<P: Protocol> Engine<P> {
     /// Creates an engine with all processes alive in their default initial
     /// state ([`Protocol::new`]).
     pub fn new(cfg: EngineConfig) -> Self {
@@ -775,9 +776,7 @@ impl<P: Protocol + 'static> Engine<P> {
 
     /// Runs `rounds` rounds under `adversary`.
     pub fn run<A: Adversary<P>>(&mut self, rounds: u64, adversary: &mut A) {
-        for _ in 0..rounds {
-            self.step(adversary);
-        }
+        self.run_backend(EngineBackend::Sequential, rounds, adversary);
     }
 
     /// Runs `rounds` rounds under `adversary`, reporting events to `obs`.
@@ -787,8 +786,29 @@ impl<P: Protocol + 'static> Engine<P> {
         adversary: &mut A,
         obs: &mut O,
     ) {
+        self.run_observed_backend(EngineBackend::Sequential, rounds, adversary, obs);
+    }
+
+    /// Runs `rounds` rounds under `adversary` on the given backend.
+    pub fn run_backend<A: Adversary<P>>(
+        &mut self,
+        backend: EngineBackend,
+        rounds: u64,
+        adversary: &mut A,
+    ) {
+        self.run_observed_backend(backend, rounds, adversary, &mut NullObserver);
+    }
+
+    /// Runs `rounds` rounds on the given backend, reporting events to `obs`.
+    pub fn run_observed_backend<A: Adversary<P>, O: Observer<P>>(
+        &mut self,
+        backend: EngineBackend,
+        rounds: u64,
+        adversary: &mut A,
+        obs: &mut O,
+    ) {
         for _ in 0..rounds {
-            self.step_observed(adversary, obs);
+            self.step_backend(backend, adversary, obs);
         }
     }
 
@@ -803,36 +823,70 @@ impl<P: Protocol + 'static> Engine<P> {
         adversary: &mut A,
         obs: &mut O,
     ) {
+        self.step_backend(EngineBackend::Sequential, adversary, obs);
+    }
+
+    /// Executes one round on the given backend, reporting events to `obs`.
+    /// The send and compute phases run over `backend.workers()` contiguous
+    /// process-id chunks; the result is bit-identical for every backend
+    /// (see the module docs). Backends may be switched freely between
+    /// rounds — the engine's state evolution is backend-independent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is `Parallel { workers: 0 }`.
+    pub fn step_backend<A: Adversary<P>, O: Observer<P>>(
+        &mut self,
+        backend: EngineBackend,
+        adversary: &mut A,
+        obs: &mut O,
+    ) {
+        let workers = backend.workers();
+        assert!(workers >= 1, "parallel backend needs at least one worker");
         let n = self.cfg.n;
         let round = self.round;
         self.metrics.begin_round();
         let out_start = self.outputs.len();
+        // Fixed chunking: process ids [c*chunk, (c+1)*chunk) go to chunk c,
+        // independent of scheduling, so work assignment is deterministic.
+        let chunk = n.div_ceil(workers).max(1);
 
         // ---- Phase 1: send. -------------------------------------------
-        for (i, (slot, buf)) in self.slots.iter_mut().zip(self.arena.iter_mut()).enumerate() {
-            run_send_slot(i, n, round, slot, buf);
-        }
+        for_each_chunk(
+            chunk,
+            self.slots
+                .chunks_mut(chunk)
+                .zip(self.arena.chunks_mut(chunk)),
+            |base, (slots, bufs)| {
+                for (j, (slot, buf)) in slots.iter_mut().zip(bufs).enumerate() {
+                    run_send_slot(base + j, n, round, slot, buf);
+                }
+            },
+        );
+        // Barrier: every chunk is done; merge in process-id order.
         self.merge_send_results();
 
-        // ---- Phases 2 & 3: adversary + delivery. ----------------------
+        // ---- Phases 2 & 3: adversary + delivery (sequential). ---------
         self.prepare_round(adversary, obs);
 
         // ---- Phase 4: compute. ----------------------------------------
-        {
-            let outbox = self.mem.columns();
-            let inbox_idx = self.mem.inbox_lists();
-            for i in 0..n {
-                run_compute_slot(
-                    i,
-                    n,
-                    round,
-                    &mut self.slots[i],
-                    Inbox::columnar(outbox, &inbox_idx[i], round),
-                    &mut self.inputs[i],
-                    &mut self.arena[i],
-                );
-            }
-        }
+        let outbox = self.mem.columns();
+        for_each_chunk(
+            chunk,
+            self.slots
+                .chunks_mut(chunk)
+                .zip(self.arena.chunks_mut(chunk))
+                .zip(self.mem.inbox_lists().chunks(chunk))
+                .zip(self.inputs.chunks_mut(chunk)),
+            |base, (((slots, bufs), idx), inputs)| {
+                for (j, (((slot, buf), idx), input)) in
+                    slots.iter_mut().zip(bufs).zip(idx).zip(inputs).enumerate()
+                {
+                    let inbox = Inbox::columnar(outbox, idx, round);
+                    run_compute_slot(base + j, n, round, slot, inbox, input, buf);
+                }
+            },
+        );
         self.merge_compute_outputs();
 
         self.complete_round(round, out_start, obs);
@@ -885,29 +939,39 @@ impl<P: Protocol + 'static> Engine<P> {
         };
         let decision = adversary.decide(&view);
 
+        // The adversary contract is checked in every build profile: a plan
+        // that breaks it is a bug in the plan, never something to skip.
         let mut touched = vec![false; n]; // one liveness event per round
         let mut crash_policy: Vec<Option<SentPolicy>> = vec![None; n];
         for spec in decision.crashes {
-            let i = spec.process.as_usize();
-            if !self.slots[i].state.is_alive() || touched[i] {
-                debug_assert!(false, "invalid crash of {} in {round}", spec.process);
-                continue;
-            }
+            let (p, i) = (spec.process, spec.process.as_usize());
+            assert!(
+                !touched[i],
+                "adversary gave {p} a second liveness event in {round}"
+            );
+            assert!(
+                self.slots[i].state.is_alive(),
+                "adversary crashed {p} in {round}, but it is not alive"
+            );
             touched[i] = true;
             self.slots[i].state = ProcessState::Crashed;
             self.slots[i].pending.clear();
             crash_policy[i] = Some(spec.sent);
-            self.liveness.record_crash(spec.process, round);
-            obs.on_crash(round, spec.process);
+            self.liveness.record_crash(p, round);
+            obs.on_crash(round, p);
         }
 
         let mut restart_policy: Vec<Option<IncomingPolicy>> = vec![None; n];
         for (p, policy) in decision.restarts {
             let i = p.as_usize();
-            if self.slots[i].state.is_alive() || touched[i] {
-                debug_assert!(false, "invalid restart of {p} in {round}");
-                continue;
-            }
+            assert!(
+                !touched[i],
+                "adversary gave {p} a second liveness event in {round}"
+            );
+            assert!(
+                !self.slots[i].state.is_alive(),
+                "adversary restarted {p} in {round}, but it is alive"
+            );
             touched[i] = true;
             let slot = &mut self.slots[i];
             slot.generation += 1;
@@ -954,13 +1018,13 @@ impl<P: Protocol + 'static> Engine<P> {
         // ---- Injections (staged for the compute phase). ---------------
         self.inputs.clear();
         self.inputs.resize_with(n, || None);
+        let mut injected = touched;
+        injected.fill(false);
         for (p, input) in decision.injections {
             let i = p.as_usize();
+            assert!(!injected[i], "adversary injected twice at {p} in {round}");
+            injected[i] = true;
             let delivered = self.slots[i].state.is_alive();
-            debug_assert!(
-                self.inputs[i].is_none(),
-                "at most one injection per process per round"
-            );
             self.injections.push(InjectionRecord {
                 round,
                 process: p,
@@ -982,139 +1046,6 @@ impl<P: Protocol + 'static> Engine<P> {
         }
         obs.on_round_end(round);
         self.round = round.next();
-    }
-}
-
-impl<P> Engine<P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send + Sync,
-    P::Input: Send,
-    P::Output: Send,
-{
-    /// Executes one round on the given backend (reporting events to `obs`).
-    ///
-    /// Backends may be switched freely between rounds — the engine's state
-    /// evolution is backend-independent.
-    pub fn step_backend<A: Adversary<P>, O: Observer<P>>(
-        &mut self,
-        backend: EngineBackend,
-        adversary: &mut A,
-        obs: &mut O,
-    ) {
-        match backend.resolve(self.cfg.n) {
-            EngineBackend::Sequential => self.step_observed(adversary, obs),
-            EngineBackend::Parallel { workers } => {
-                self.step_observed_parallel(workers, adversary, obs)
-            }
-            EngineBackend::Auto => unreachable!("resolve() never returns Auto"),
-        }
-    }
-
-    /// Runs `rounds` rounds under `adversary` on the given backend.
-    pub fn run_backend<A: Adversary<P>>(
-        &mut self,
-        backend: EngineBackend,
-        rounds: u64,
-        adversary: &mut A,
-    ) {
-        self.run_observed_backend(backend, rounds, adversary, &mut NullObserver);
-    }
-
-    /// Runs `rounds` rounds on the given backend, reporting events to `obs`.
-    pub fn run_observed_backend<A: Adversary<P>, O: Observer<P>>(
-        &mut self,
-        backend: EngineBackend,
-        rounds: u64,
-        adversary: &mut A,
-        obs: &mut O,
-    ) {
-        for _ in 0..rounds {
-            self.step_backend(backend, adversary, obs);
-        }
-    }
-
-    /// Executes one round with the send and compute phases split across
-    /// `workers` scoped threads (contiguous process-id chunks). Bit-identical
-    /// to [`step_observed`](Engine::step_observed) — see the module docs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn step_observed_parallel<A: Adversary<P>, O: Observer<P>>(
-        &mut self,
-        workers: usize,
-        adversary: &mut A,
-        obs: &mut O,
-    ) {
-        assert!(workers >= 1, "parallel backend needs at least one worker");
-        let n = self.cfg.n;
-        let round = self.round;
-        self.metrics.begin_round();
-        let out_start = self.outputs.len();
-        // Fixed chunking: process ids [c*chunk, (c+1)*chunk) go to worker c,
-        // independent of scheduling, so work assignment is deterministic.
-        let chunk = n.div_ceil(workers).max(1);
-
-        // ---- Phase 1: send (parallel). --------------------------------
-        {
-            let slots = &mut self.slots;
-            let arena = &mut self.arena;
-            std::thread::scope(|s| {
-                for (ci, (slot_chunk, buf_chunk)) in slots
-                    .chunks_mut(chunk)
-                    .zip(arena.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let base = ci * chunk;
-                    s.spawn(move || {
-                        for (j, (slot, buf)) in
-                            slot_chunk.iter_mut().zip(buf_chunk.iter_mut()).enumerate()
-                        {
-                            run_send_slot(base + j, n, round, slot, buf);
-                        }
-                    });
-                }
-            });
-        }
-        // Barrier: workers joined; merge in process-id order.
-        self.merge_send_results();
-
-        // ---- Phases 2 & 3: adversary + delivery (sequential). ---------
-        self.prepare_round(adversary, obs);
-
-        // ---- Phase 4: compute (parallel). -----------------------------
-        {
-            let slots = &mut self.slots;
-            let arena = &mut self.arena;
-            let outbox = self.mem.columns();
-            let inbox_idx = self.mem.inbox_lists();
-            let inputs = &mut self.inputs;
-            std::thread::scope(|s| {
-                for (ci, ((slot_chunk, buf_chunk), (idx_chunk, input_chunk))) in slots
-                    .chunks_mut(chunk)
-                    .zip(arena.chunks_mut(chunk))
-                    .zip(inbox_idx.chunks(chunk).zip(inputs.chunks_mut(chunk)))
-                    .enumerate()
-                {
-                    let base = ci * chunk;
-                    s.spawn(move || {
-                        for (j, ((slot, buf), (idx, input))) in slot_chunk
-                            .iter_mut()
-                            .zip(buf_chunk.iter_mut())
-                            .zip(idx_chunk.iter().zip(input_chunk.iter_mut()))
-                            .enumerate()
-                        {
-                            let inbox = Inbox::columnar(outbox, idx, round);
-                            run_compute_slot(base + j, n, round, slot, inbox, input, buf);
-                        }
-                    });
-                }
-            });
-        }
-        self.merge_compute_outputs();
-
-        self.complete_round(round, out_start, obs);
     }
 }
 
@@ -1368,26 +1299,58 @@ mod tests {
         assert_eq!(EngineBackend::default(), EngineBackend::Sequential);
         assert_eq!(EngineBackend::Sequential.workers(), 1);
         assert_eq!(EngineBackend::Parallel { workers: 3 }.workers(), 3);
-        assert_eq!(EngineBackend::from_str("auto").unwrap(), EngineBackend::Auto);
-        assert!(EngineBackend::from_str("auto:2").is_err());
-        assert_eq!(EngineBackend::Auto.to_string(), "auto");
-        // Below the work threshold Auto always degrades to sequential.
-        assert_eq!(EngineBackend::Auto.resolve(8), EngineBackend::Sequential);
-        // At/above the threshold it picks parallel iff this host has >1 core.
-        let big = EngineBackend::Auto.resolve(EngineBackend::AUTO_WORK_THRESHOLD);
-        match std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1) {
-            1 => assert_eq!(big, EngineBackend::Sequential),
-            cores => assert_eq!(big, EngineBackend::Parallel { workers: cores }),
-        }
-        // Non-auto backends resolve to themselves.
-        assert_eq!(
-            EngineBackend::Sequential.resolve(1 << 20),
-            EngineBackend::Sequential
-        );
-        assert_eq!(
-            EngineBackend::Parallel { workers: 2 }.resolve(1),
-            EngineBackend::Parallel { workers: 2 }
-        );
+        assert!(EngineBackend::from_str("auto").is_err());
+    }
+
+    /// Runs `Ring` on 4 processes: `setup` in round 0, `bad` in round 1.
+    fn run_script(setup: RoundDecision<u64>, bad: RoundDecision<u64>) {
+        let mut adv = ScriptedAdversary {
+            script: vec![(0, setup), (1, bad)],
+        };
+        Engine::<Ring>::new(EngineConfig::new(4)).run(2, &mut adv);
+    }
+
+    #[test]
+    #[should_panic(expected = "adversary crashed p1 in r1, but it is not alive")]
+    fn crashing_a_crashed_process_panics() {
+        let crash = || RoundDecision {
+            crashes: vec![CrashSpec::dropping(ProcessId::new(1))],
+            ..RoundDecision::none()
+        };
+        run_script(crash(), crash());
+    }
+
+    #[test]
+    #[should_panic(expected = "adversary restarted p2 in r1, but it is alive")]
+    fn restarting_an_alive_process_panics() {
+        let restart = RoundDecision {
+            restarts: vec![(ProcessId::new(2), IncomingPolicy::DeliverAll)],
+            ..RoundDecision::none()
+        };
+        run_script(RoundDecision::none(), restart);
+    }
+
+    #[test]
+    #[should_panic(expected = "adversary gave p3 a second liveness event in r1")]
+    fn two_liveness_events_in_one_round_panic() {
+        let p3 = ProcessId::new(3);
+        let twice = RoundDecision {
+            crashes: vec![CrashSpec::dropping(p3)],
+            restarts: vec![(p3, IncomingPolicy::DeliverAll)],
+            ..RoundDecision::none()
+        };
+        run_script(RoundDecision::none(), twice);
+    }
+
+    #[test]
+    #[should_panic(expected = "adversary injected twice at p0 in r1")]
+    fn two_injections_at_one_process_in_one_round_panic() {
+        let p0 = ProcessId::new(0);
+        let twice = RoundDecision {
+            injections: vec![(p0, 1), (p0, 2)],
+            ..RoundDecision::none()
+        };
+        run_script(RoundDecision::none(), twice);
     }
 
     /// Observer that fingerprints the full ordered event stream, for

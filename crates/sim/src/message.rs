@@ -147,7 +147,7 @@ impl<M> OutboxColumns<M> {
     /// per-process send buffers are concatenated as index ranges of the
     /// round outbox, in process-id order.
     pub fn append_from(&mut self, src: ProcessId, buf: &mut SendColumns<M>) {
-        self.src.extend(std::iter::repeat(src).take(buf.dst.len()));
+        self.src.extend(std::iter::repeat_n(src, buf.dst.len()));
         self.dst.append(&mut buf.dst);
         self.tag.append(&mut buf.tag);
         self.payload.append(&mut buf.payload);

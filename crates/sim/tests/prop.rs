@@ -124,7 +124,7 @@ proptest! {
         aa.union_with(&sa);
         prop_assert_eq!(&aa, &sa, "union is idempotent");
 
-        prop_assert_eq!(sa.is_empty(), sa.len() == 0);
+        prop_assert_eq!(sa.is_empty(), sa.iter().next().is_none());
         prop_assert!(diff.is_disjoint_from(&sb));
         prop_assert!(meet.is_subset_of(&sb));
     }

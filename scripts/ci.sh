@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the confidential-gossip workspace.
 #
-#   scripts/ci.sh            # tier1: build + root tests + differential suite
-#                            #        on both engine backends + topo + mem
+#   scripts/ci.sh            # tier1: build + clippy (-D warnings) + root
+#                            #        tests + differential suite on both
+#                            #        engine backends + topo + mem
 #   scripts/ci.sh topo       # topology target only: topology-differential
 #                            #        suite, topology proptests, and the
-#                            #        exp_e14_topology quick smoke (writes
+#                            #        `exp e14` quick smoke (writes
 #                            #        crates/bench/BENCH_topology.json)
 #   scripts/ci.sh mem        # memory target only: fragstore proptests and
-#                            #        the exp_e3_mem small-n smoke sweep
+#                            #        the `exp e3_mem` small-n smoke sweep
 #                            #        under a hard peak-RSS budget
 #   scripts/ci.sh net        # network target only: TCP-vs-simulator
 #                            #        loopback differential suite plus the
@@ -20,7 +21,7 @@
 #   scripts/ci.sh anonymity  # source-anonymity target: predict-subsystem
 #                            #        proptests, the tap golden-digest
 #                            #        determinism test, and the
-#                            #        exp_e13_anonymity quick sweep (writes
+#                            #        `exp e13` quick sweep (writes
 #                            #        crates/bench/BENCH_anonymity.json and
 #                            #        asserts congos < direct at coalition
 #                            #        10% on expander:4)
@@ -42,21 +43,21 @@ run_topo() {
     cargo test -q --test differential topology_differential
     echo "==> topo: topology invariant proptests"
     cargo test -q -p congos-sim --test topology_prop
-    echo "==> topo: exp_e14_topology smoke (quick sweep)"
-    cargo run --release -q -p congos-harness --bin exp_e14_topology >/dev/null
+    echo "==> topo: exp e14 smoke (quick sweep)"
+    cargo run --release -q -p congos-harness --bin exp -- e14 >/dev/null
     echo "    wrote crates/bench/BENCH_topology.json"
 }
 
 run_mem() {
     echo "==> mem: fragment-store proptests"
     cargo test -q -p congos --test fragstore_prop
-    echo "==> mem: exp_e3_mem smoke sweep under a hard peak-RSS budget"
+    echo "==> mem: exp e3_mem smoke sweep under a hard peak-RSS budget"
     # The quick sweep (n ≤ 1024) peaks around 450 MiB; the 1024 MiB budget
     # is a 2× regression gate, not a tight fit. The smoke row set goes to a
     # scratch path so it cannot clobber the committed full-sweep
     # crates/bench/BENCH_memory.json (regenerate that with
-    # `exp_e3_mem --full`).
-    cargo run --release -q -p congos-harness --bin exp_e3_mem -- \
+    # `exp e3_mem --full`).
+    cargo run --release -q -p congos-harness --bin exp -- e3_mem \
         --json target/BENCH_memory_smoke.json --budget-mib 1024 >/dev/null
 }
 
@@ -91,13 +92,13 @@ run_anonymity() {
     cargo test -q -p congos-adversary --test predict_prop
     echo "==> anonymity: coalition-tap golden-digest determinism"
     cargo test -q --test differential coalition_tap_preserves_golden_trace_digest
-    echo "==> anonymity: exp_e13_anonymity quick sweep (gate: congos < direct"
+    echo "==> anonymity: exp e13 quick sweep (gate: congos < direct"
     echo "    at coalition 10% on expander:4; asserted inside the binary)"
     # Scratch output path so the CI gate cannot clobber the committed
     # quick-sweep crates/bench/BENCH_anonymity.json (regenerate that by
-    # running exp_e13_anonymity from the repo root; --full for the big rows).
+    # running `exp e13` from the repo root; --full for the big rows).
     out=target/BENCH_anonymity_smoke.json
-    cargo run --release -q -p congos-harness --bin exp_e13_anonymity -- \
+    cargo run --release -q -p congos-harness --bin exp -- e13 \
         --json "$out" >/dev/null
     for key in '"suite": "anonymity"' '"p_id%"' '"eps"' '"system"'; do
         grep -q "$key" "$out" || {
@@ -140,6 +141,9 @@ fi
 
 echo "==> tier1: cargo build --release"
 cargo build --release
+
+echo "==> tier1: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier1: cargo test -q (root package)"
 cargo test -q

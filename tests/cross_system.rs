@@ -1,5 +1,5 @@
 //! Workspace-level integration: all five systems under one workload, the
-//! facade crate's re-exports, and the threaded runtime.
+//! facade crate's re-exports, and the parallel engine backend.
 
 use confidential_gossip::adversary::{
     CrriAdversary, NoFailures, OneShot, PoissonWorkload, RumorSpec,
@@ -9,7 +9,9 @@ use confidential_gossip::baselines::{
 };
 use confidential_gossip::congos::{CongosNode, ConfidentialityAuditor};
 use confidential_gossip::harness::{run, Logged, RunSpec};
-use confidential_gossip::sim::{Engine, EngineConfig, ProcessId, Round};
+use confidential_gossip::sim::{
+    Engine, EngineBackend, EngineConfig, NullAdversary, ProcessId, Round,
+};
 
 #[test]
 fn all_five_systems_deliver_the_same_workload() {
@@ -53,12 +55,16 @@ fn facade_reexports_compose() {
 
 #[test]
 fn threaded_runtime_runs_the_same_protocol_logic() {
-    use confidential_gossip::sim::threaded::{run_threaded, ThreadedConfig};
-    // The plain epidemic node runs unchanged on OS threads with a
+    // The plain epidemic node runs unchanged on worker threads with a
     // bulk-synchronous barrier — protocol logic is runtime-agnostic.
-    let report = run_threaded::<PlainEpidemicNode>(ThreadedConfig::new(6).rounds(8).seed(3));
-    // No injections in the threaded harness ⇒ no outputs, and no traffic
-    // because nothing is active.
-    assert_eq!(report.rounds, 8);
-    assert_eq!(report.outputs.len(), 0);
+    let mut engine = Engine::<PlainEpidemicNode>::new(EngineConfig::new(6).seed(3));
+    engine.run_backend(
+        EngineBackend::Parallel { workers: 2 },
+        8,
+        &mut NullAdversary,
+    );
+    // No injections ⇒ no outputs, and no traffic because nothing is active.
+    assert_eq!(engine.round(), Round(8));
+    assert!(engine.outputs().is_empty());
+    assert_eq!(engine.metrics().total(), 0);
 }
